@@ -15,7 +15,33 @@ type event =
   | Was_jammed
   | Session_failed
 
-type slot_log = { label : int; event : event }
+(* One packed [int] per node-slot, node-major: [tag + 8·(label + c·parent)],
+   where [parent] is only nonzero on [Got_informed]. The default cell 0 is
+   label 0, [Heard_silence]. *)
+type log = { cells : int array; width : int; labels : int }
+
+let tag_silence = 0
+let tag_won = 1
+let tag_lost = 2
+let tag_informed = 3
+let tag_jammed = 4
+let tag_failed = 5
+
+let cell log ~node ~slot =
+  if slot < 0 || slot >= log.width then invalid_arg "Cogcast.log: slot out of range";
+  log.cells.((node * log.width) + slot)
+
+let log_label log ~node ~slot = (cell log ~node ~slot lsr 3) mod log.labels
+
+let log_event log ~node ~slot =
+  let code = cell log ~node ~slot in
+  let tag = code land 7 in
+  if tag = tag_won then Sent_won
+  else if tag = tag_lost then Sent_lost
+  else if tag = tag_informed then Got_informed { parent = (code lsr 3) / log.labels }
+  else if tag = tag_jammed then Was_jammed
+  else if tag = tag_failed then Session_failed
+  else Heard_silence
 
 type result = {
   n : int;
@@ -27,7 +53,7 @@ type result = {
   parent : int option array;
   informed_at : int option array;
   informed_label : int option array;
-  logs : slot_log array array option;
+  logs : log option;
   counters : Trace.Counters.t;
   raw_rounds : int;
   failed_sessions : int;
@@ -50,7 +76,7 @@ type runtime = {
   parent : int option array;
   informed_at : int option array;
   informed_label : int option array;
-  rt_logs : slot_log array array option;
+  rt_logs : log option;
   nodes : msg Engine.node array;
 }
 
@@ -72,28 +98,33 @@ let build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () =
   let informed_label = Array.make n None in
   let logs =
     if record then
-      Some (Array.init n (fun _ -> Array.make max_slots { label = 0; event = Heard_silence }))
+      Some { cells = Array.make (n * max_slots) 0; width = max_slots; labels = c }
     else None
   in
   let node_rngs = Rng.split_n rng n in
   (* The label each node chose this slot, so feedback can be logged against
      it. *)
   let current_label = Array.make n 0 in
-  let log v ~slot event =
+  (* [code] is the cell without its label: a tag, plus [8·c·parent] for an
+     inform. *)
+  let log v ~slot code =
     match logs with
-    | Some table -> table.(v).(slot) <- { label = current_label.(v); event }
+    | Some log -> log.cells.((v * max_slots) + slot) <- code + (8 * current_label.(v))
     | None -> ()
   in
+  (* Every decision a node can make, built once per run instead of once per
+     node-slot. *)
+  let listen = Array.init c (fun label -> Action.listen ~label) in
+  let broadcast = Array.init c (fun label -> Action.broadcast ~label Init) in
   let decide v ~slot:_ =
     let label = Rng.int node_rngs.(v) c in
     current_label.(v) <- label;
-    if informed.(v) then Action.broadcast ~label Init
-    else Action.listen ~label
+    if informed.(v) then broadcast.(label) else listen.(label)
   in
   let feedback v ~slot fb =
     match fb with
-    | Action.Won -> log v ~slot Sent_won
-    | Action.Lost _ -> log v ~slot Sent_lost
+    | Action.Won -> log v ~slot tag_won
+    | Action.Lost _ -> log v ~slot tag_lost
     | Action.Heard { sender; msg = Init } ->
         (* A listener is uninformed by construction, so this is the first
            reception: record the tree edge. *)
@@ -108,10 +139,10 @@ let build_protocol ?trace ~record ~source ~availability ~rng ~max_slots () =
               (Trace.Informed
                  { slot; node = v; parent = sender; label = current_label.(v) })
         | None -> ());
-        log v ~slot (Got_informed { parent = sender })
-    | Action.Silence -> log v ~slot Heard_silence
-    | Action.Jammed -> log v ~slot Was_jammed
-    | Action.No_winner -> log v ~slot Session_failed
+        log v ~slot (tag_informed + (8 * c * sender))
+    | Action.Silence -> log v ~slot tag_silence
+    | Action.Jammed -> log v ~slot tag_jammed
+    | Action.No_winner -> log v ~slot tag_failed
   in
   let nodes = Array.init n (fun v -> Engine.node ~id:v ~decide:(decide v) ~feedback:(feedback v)) in
   {

@@ -28,9 +28,20 @@ type event =
           without isolating a winner ({!Crn_radio.Action.No_winner}); only
           on the emulation backends. *)
 
-type slot_log = { label : int; event : event }
-(** What one node did in one slot ([label] is the local channel label it
-    tuned to). *)
+type log
+(** What every node did in every slot of a recorded run: the local channel
+    label it tuned to and the {!event}. Packed one [int] per node-slot in a
+    single array of [n · max_slots] words, written in place by the run, so
+    recording allocates nothing per slot. *)
+
+val log_label : log -> node:int -> slot:int -> int
+(** The local label [node] tuned to in [slot]. Raises [Invalid_argument]
+    if [slot] is outside [0 .. max_slots-1]. *)
+
+val log_event : log -> node:int -> slot:int -> event
+(** What happened to [node] in [slot]. Slots beyond a stopped run read as
+    label 0, {!Heard_silence}. Raises [Invalid_argument] if [slot] is
+    outside [0 .. max_slots-1]. *)
 
 type result = {
   n : int;
@@ -47,9 +58,9 @@ type result = {
   informed_at : int option array;  (** Slot at which each node was informed. *)
   informed_label : int option array;
       (** Local label of the channel on which each node was informed. *)
-  logs : slot_log array array option;
-      (** [logs.(v)] is node [v]'s per-slot log (present iff [~record:true]).
-          Entries beyond a stopped run keep their defaults. *)
+  logs : log option;
+      (** The per-node, per-slot log, read with {!log_label} and
+          {!log_event} (present iff [~record:true]). *)
   counters : Crn_radio.Trace.Counters.t;
       (** Aggregate channel accounting from the engine run. *)
   raw_rounds : int;
@@ -76,8 +87,9 @@ val run :
   result
 (** [run ~source ~availability ~rng ~max_slots ()] executes COGCAST from
     [source]. By default the run stops as soon as every node is informed
-    ([stop_when_complete], default [true]); with [record:true] it keeps full
-    logs (memory [n · slots_run]). With [?trace] supplied, a
+    ([stop_when_complete], default [true]); with [record:true] it keeps the
+    full log: one word per node and slot of the budget, [n · max_slots]
+    words allocated once up front. With [?trace] supplied, a
     {!Crn_radio.Trace.Meta} and a [Phase "cogcast"] marker are recorded up
     front, the engine streams its slot events into it, and every first
     reception adds a {!Crn_radio.Trace.Informed} tree edge. [?backend]

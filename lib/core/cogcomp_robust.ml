@@ -195,22 +195,20 @@ let run_phase3 ~(cast : Cogcast.result) ~(info : phase2_info array) ~runner =
   let clusters_collected = Array.make n [] in
   let decide v ~slot =
     let mirrored = l - 1 - slot in
-    let entry = logs.(v).(mirrored) in
-    match entry.Cogcast.event with
-    | Cogcast.Got_informed _ ->
-        Action.broadcast ~label:entry.Cogcast.label info.(v).cluster_size
+    let label = Cogcast.log_label logs ~node:v ~slot:mirrored in
+    match Cogcast.log_event logs ~node:v ~slot:mirrored with
+    | Cogcast.Got_informed _ -> Action.broadcast ~label info.(v).cluster_size
     | Cogcast.Sent_won | Cogcast.Sent_lost | Cogcast.Heard_silence | Cogcast.Was_jammed
     | Cogcast.Session_failed ->
-        Action.listen ~label:entry.Cogcast.label
+        Action.listen ~label
   in
   let feedback v ~slot = function
     | Action.Heard { msg = size; _ } ->
         let mirrored = l - 1 - slot in
-        let entry = logs.(v).(mirrored) in
-        (match entry.Cogcast.event with
+        (match Cogcast.log_event logs ~node:v ~slot:mirrored with
         | Cogcast.Sent_won ->
-            clusters_collected.(v) <-
-              (mirrored, entry.Cogcast.label, size) :: clusters_collected.(v)
+            let label = Cogcast.log_label logs ~node:v ~slot:mirrored in
+            clusters_collected.(v) <- (mirrored, label, size) :: clusters_collected.(v)
         | Cogcast.Sent_lost | Cogcast.Got_informed _ | Cogcast.Heard_silence
         | Cogcast.Was_jammed | Cogcast.Session_failed ->
             ())

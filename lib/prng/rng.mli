@@ -6,7 +6,10 @@
     experiment is reproducible from its seed. *)
 
 type t
-(** Mutable generator. *)
+(** Mutable generator: a {!Xoshiro} state for draws and a {!Splitmix}
+    state for splits, both unboxed. [int], [int_in], [bool] and
+    [bernoulli] allocate nothing; [float] allocates only the box of its
+    result, where the call is not inlined. *)
 
 val create : int -> t
 (** [create seed] builds a generator from an integer seed. *)
@@ -58,9 +61,20 @@ val permutation : t -> int -> int array
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t m n] draws [m] distinct values uniformly
-    from [0..n-1], in random order; requires [m <= n]. Uses a partial
-    Fisher–Yates over a hash-sparse domain, O(m) time and space, so it is
-    cheap even when [n] is huge (e.g. selecting channels out of [C]). *)
+    from [0..n-1], in random order; requires [m <= n]. A partial
+    Fisher–Yates: over the whole array when [n] is small next to [m]
+    ({!sample_dense}), over a hash-sparse domain otherwise
+    ({!sample_sparse}), so it is cheap even when [n] is huge (e.g.
+    selecting channels out of [C]). Both paths consume the same draws and
+    return the same array. *)
+
+val sample_dense : t -> int -> int -> int array
+(** The dense path of {!sample_without_replacement}: O(n) time and space.
+    Requires [0 <= m <= n]. *)
+
+val sample_sparse : t -> int -> int -> int array
+(** The sparse path of {!sample_without_replacement}: O(m) time and space.
+    Requires [0 <= m <= n]. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly random element of the non-empty array [a]. *)

@@ -6,7 +6,7 @@
     reproducible regardless of the order in which nodes draw randomness. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: one unboxed 64-bit word. *)
 
 val create : int64 -> t
 (** [create seed] makes a generator from an arbitrary 64-bit seed. Distinct
@@ -20,6 +20,11 @@ val next : t -> int64
 
 val next_int64 : t -> int64
 (** Alias for {!next}. *)
+
+val next_into : t -> bytes -> int -> unit
+(** [next_into t buf off] advances [t] as {!next} does and stores the
+    output in [buf] at byte offset [off], native-endian, without boxing it.
+    Used to seed {!Xoshiro} states. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a fresh generator whose stream is

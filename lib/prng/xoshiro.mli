@@ -6,7 +6,8 @@
     recommend. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four 64-bit words, unboxed in one 32-byte
+    buffer, so no draw allocates. *)
 
 val create : int64 -> t
 (** [create seed] expands [seed] through SplitMix64 into a full 256-bit
@@ -19,7 +20,16 @@ val copy : t -> t
 (** Independent replayable copy. *)
 
 val next : t -> int64
-(** [next t] returns 64 uniformly random bits. *)
+(** [next t] returns 64 uniformly random bits (boxed: the [int64] result
+    is the only allocation). *)
+
+val next_bits62 : t -> int
+(** [next_bits62 t] advances [t] exactly as {!next} does and returns the
+    low 62 bits of that output as a non-negative [int]. Allocates nothing. *)
+
+val next_bits53 : t -> int
+(** [next_bits53 t] advances [t] exactly as {!next} does and returns the
+    high 53 bits of that output as a non-negative [int]. Allocates nothing. *)
 
 val jump : t -> unit
 (** [jump t] advances [t] by 2^128 steps; successive jumps from copies of one

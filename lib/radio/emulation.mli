@@ -89,5 +89,7 @@ val run :
     Channels are resolved — and the shared [rng] consumed by the contention
     sessions — in ascending global channel id, the same canonical order as
     {!Engine.run}, so session lengths and winners are a function of the
-    seed alone. The slot loop is allocation-free in steady state;
+    seed alone. As in {!Engine.run}, the slot loop's own bookkeeping is
+    allocation-free in steady state; the protocols' decisions and the
+    [Lost]/[Heard] feedback values are what still allocate.
     {!Reference.emulation_run} is its executable specification. *)

@@ -32,10 +32,14 @@
     the seed, never of hashtable bucket layout. Within one channel, winner
     indexing and feedback delivery walk broadcasters and listeners in
     descending node id (the historical list order). Reactive jammers
-    receive the slot's occupancy in ascending channel order. The slot loop
-    is allocation-free in steady state; {!Reference.engine_run} is the
-    list-based executable specification it is differentially tested
-    against. *)
+    receive the slot's occupancy in ascending channel order. The slot
+    loop's own bookkeeping is allocation-free in steady state, and so are
+    the shared [rng]'s winner draws. What still allocates per node-slot
+    crosses the protocol interface: the {!Action.decision} each [decide]
+    returns (unless the protocol preallocates it) and the [Lost] and
+    [Heard] feedback values, which carry the winner and its
+    message. {!Reference.engine_run} is the list-based executable
+    specification the loop is differentially tested against. *)
 
 type 'msg node = {
   id : int;  (** Must equal the node's index in the [nodes] array. *)

@@ -107,45 +107,101 @@ let test_logs_match_outcome () =
       ~k:3 ~rng ()
   in
   let logs = Option.get r.Cogcast.logs in
+  let slots = List.init r.Cogcast.slots_run Fun.id in
+  let event v slot = Cogcast.log_event logs ~node:v ~slot in
   (* Exactly one Got_informed entry per informed non-source node, at the
      recorded slot and label. *)
-  Array.iteri
-    (fun v node_log ->
-      let informs =
-        Array.to_list node_log
-        |> List.filteri (fun _ e ->
-               match e.Cogcast.event with Cogcast.Got_informed _ -> true | _ -> false)
-      in
-      if v = r.Cogcast.source then check_int "source never informed" 0 (List.length informs)
-      else if r.Cogcast.informed.(v) then begin
-        check_int "exactly one inform event" 1 (List.length informs);
-        let slot = Option.get r.Cogcast.informed_at.(v) in
-        let entry = node_log.(slot) in
-        (match entry.Cogcast.event with
-        | Cogcast.Got_informed { parent } ->
-            Alcotest.(check (option int)) "parent agrees" (Some parent) r.Cogcast.parent.(v)
-        | _ -> Alcotest.fail "log slot should be the inform event");
-        Alcotest.(check (option int)) "label agrees" (Some entry.Cogcast.label)
-          r.Cogcast.informed_label.(v)
-      end)
-    logs;
+  for v = 0 to r.Cogcast.n - 1 do
+    let informs =
+      List.filter
+        (fun slot ->
+          match event v slot with Cogcast.Got_informed _ -> true | _ -> false)
+        slots
+    in
+    if v = r.Cogcast.source then check_int "source never informed" 0 (List.length informs)
+    else if r.Cogcast.informed.(v) then begin
+      check_int "exactly one inform event" 1 (List.length informs);
+      let slot = Option.get r.Cogcast.informed_at.(v) in
+      (match event v slot with
+      | Cogcast.Got_informed { parent } ->
+          Alcotest.(check (option int)) "parent agrees" (Some parent) r.Cogcast.parent.(v)
+      | _ -> Alcotest.fail "log slot should be the inform event");
+      Alcotest.(check (option int)) "label agrees"
+        (Some (Cogcast.log_label logs ~node:v ~slot))
+        r.Cogcast.informed_label.(v)
+    end
+  done;
   (* Each slot's winners are distinct per channel: for every slot, the set of
      (channel, Sent_won) pairs has no duplicates. *)
-  for slot = 0 to r.Cogcast.slots_run - 1 do
-    let winners = Hashtbl.create 8 in
-    Array.iteri
-      (fun v node_log ->
-        let e = node_log.(slot) in
-        match e.Cogcast.event with
+  List.iter
+    (fun slot ->
+      let winners = Hashtbl.create 8 in
+      for v = 0 to r.Cogcast.n - 1 do
+        match event v slot with
         | Cogcast.Sent_won ->
             let channel =
-              Assignment.global_of_local assignment ~node:v ~label:e.Cogcast.label
+              Assignment.global_of_local assignment ~node:v
+                ~label:(Cogcast.log_label logs ~node:v ~slot)
             in
             check "one winner per channel per slot" false (Hashtbl.mem winners channel);
             Hashtbl.replace winners channel ()
-        | _ -> ())
-      logs
-  done
+        | _ -> ()
+      done)
+    slots
+
+(* The packed log against an independent record of the same run: every
+   node-slot's label and event, including jammed ones, must agree with what
+   the event trace says happened. *)
+let test_log_replays_trace () =
+  let module Trace = Crn_radio.Trace in
+  let spec = { Topology.n = 12; c = 6; k = 3 } in
+  let assignment = Topology.shared_plus_random (Rng.create 16) spec in
+  let jammer =
+    Jammer.random_per_node ~seed:17L ~budget:2
+      ~num_channels:(Assignment.num_channels assignment)
+  in
+  let tr = Trace.create () in
+  let max_slots = 25 in
+  let r =
+    Cogcast.run ~jammer ~trace:tr ~record:true ~stop_when_complete:false ~source:0
+      ~availability:(Dynamic.static assignment) ~rng:(Rng.create 18) ~max_slots ()
+  in
+  let logs = Option.get r.Cogcast.logs in
+  let expected = Hashtbl.create 512 in
+  let expect ~slot ~node ~channel event =
+    let label = Option.get (Assignment.local_of_global assignment ~node ~channel) in
+    Hashtbl.replace expected (node, slot) (label, event)
+  in
+  let winners = Hashtbl.create 64 in
+  Trace.iter
+    (function
+      | Trace.Win { slot; channel; winner; _ } -> Hashtbl.replace winners (slot, channel) winner
+      | _ -> ())
+    tr;
+  Trace.iter
+    (function
+      | Trace.Decide { slot; node; channel; tx = true; _ } ->
+          expect ~slot ~node ~channel
+            (if Hashtbl.find_opt winners (slot, channel) = Some node then Cogcast.Sent_won
+             else Cogcast.Sent_lost)
+      | Trace.Deliver { slot; channel; sender; receiver } ->
+          expect ~slot ~node:receiver ~channel (Cogcast.Got_informed { parent = sender })
+      | Trace.Silent { slot; node; channel } -> expect ~slot ~node ~channel Cogcast.Heard_silence
+      | Trace.Jam { slot; node; channel } -> expect ~slot ~node ~channel Cogcast.Was_jammed
+      | _ -> ())
+    tr;
+  check_int "one record per node-slot" (spec.n * max_slots) (Hashtbl.length expected);
+  let jammed = ref 0 in
+  Hashtbl.iter
+    (fun (node, slot) (label, event) ->
+      if event = Cogcast.Was_jammed then incr jammed;
+      check_int "label" label (Cogcast.log_label logs ~node ~slot);
+      check "event" true (Cogcast.log_event logs ~node ~slot = event))
+    expected;
+  check "the jammer hit some node-slots" true (!jammed > 0);
+  Alcotest.check_raises "slot past the budget"
+    (Invalid_argument "Cogcast.log: slot out of range") (fun () ->
+      ignore (Cogcast.log_event logs ~node:0 ~slot:max_slots))
 
 (* --- distribution tree ----------------------------------------------------- *)
 
@@ -358,7 +414,10 @@ let () =
           Alcotest.test_case "result fields consistent" `Quick test_informed_fields_consistent;
         ] );
       ( "logs",
-        [ Alcotest.test_case "logs match outcome" `Quick test_logs_match_outcome ] );
+        [
+          Alcotest.test_case "logs match outcome" `Quick test_logs_match_outcome;
+          Alcotest.test_case "log replays the trace" `Quick test_log_replays_trace;
+        ] );
       ( "distribution tree",
         [
           Alcotest.test_case "valid and spanning" `Quick test_tree_valid_and_spanning;

@@ -252,7 +252,8 @@ let test_label_oracle_matches_run () =
   for slot = 0 to 39 do
     Alcotest.(check int)
       (Printf.sprintf "slot %d label" slot)
-      logs.(0).(slot).Cogcast.label (oracle ~slot)
+      (Cogcast.log_label logs ~node:0 ~slot)
+      (oracle ~slot)
   done
 
 let () =

@@ -222,6 +222,90 @@ let test_pick () =
   Alcotest.check_raises "empty array" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick rng [||]))
 
+(* --- known answers ------------------------------------------------------- *)
+
+(* Pinned outputs of the whole stack. The Xoshiro256** words were checked
+   against an independent model of the reference algorithm; the Rng rows pin
+   the derived draws, so any change to the state layout or to a draw's
+   rejection loop that alters a stream fails here. *)
+
+let test_xoshiro_known_answers () =
+  let x = Xoshiro.create 0L in
+  List.iter
+    (fun e -> Alcotest.(check int64) "xoshiro256**(create 0)" e (Xoshiro.next x))
+    [ 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L;
+      0x6AA594F1262D2D2CL ];
+  let x = Xoshiro.create 0L in
+  Xoshiro.jump x;
+  List.iter
+    (fun e -> Alcotest.(check int64) "create 0, then jump" e (Xoshiro.next x))
+    [ 0x376215EDC846D62CL; 0x57C0611DE8350CA7L ]
+
+let test_rng_known_answers () =
+  let r = Rng.create 1 in
+  Alcotest.(check (list int)) "int (create 1) 1000"
+    [ 144; 323; 560; 162; 461; 501; 775; 492 ]
+    (List.init 8 (fun _ -> Rng.int r 1000));
+  let r = Rng.create 2 in
+  Alcotest.(check (list (float 0.0))) "float (create 2) 1.0"
+    [ 0x1.313bfc60476f1p-1; 0x1.9a1e9382f10f6p-2; 0x1.d4a041cc62016p-2 ]
+    (List.init 3 (fun _ -> Rng.float r 1.0));
+  let r = Rng.split (Rng.create 3) in
+  Alcotest.(check (list int)) "split (create 3), int 1_000_000"
+    [ 763483; 117985; 558572; 820538 ]
+    (List.init 4 (fun _ -> Rng.int r 1_000_000));
+  let r = Rng.create 7 in
+  Alcotest.(check (list bool)) "bool (create 7)"
+    [ false; true; false; true; false; true; false; true ]
+    (List.init 8 (fun _ -> Rng.bool r));
+  Alcotest.(check (list bool)) "then bernoulli 0.3"
+    [ true; false; false; true; true; false; false; true ]
+    (List.init 8 (fun _ -> Rng.bernoulli r 0.3))
+
+let test_sample_known_answers () =
+  let sample seed m n = Rng.sample_without_replacement (Rng.create seed) m n in
+  Alcotest.(check (array int)) "6 of 20" [| 2; 15; 5; 18; 17; 13 |] (sample 4 6 20);
+  Alcotest.(check (array int)) "6 of 10^6"
+    [| 778525; 303368; 560665; 854350; 546556; 146243 |]
+    (sample 5 6 1_000_000);
+  Alcotest.(check (array int)) "12 of 60 (the shared+random topology shape)"
+    [| 0; 42; 29; 51; 24; 52; 10; 50; 6; 9; 34; 49 |]
+    (sample 6 12 60)
+
+(* --- allocation ---------------------------------------------------------- *)
+
+(* The per-node draws of the slot loops must not allocate: the generator
+   state is unboxed, and the bounded draw is a plain loop. [Gc.minor_words]
+   is an exact count, so the checks are exact. *)
+let draws = 100_000
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_draws_allocate_nothing () =
+  let r = Rng.create 12 in
+  let hits = ref 0 in
+  let count name f =
+    let words = minor_words_of (fun () -> for _ = 1 to draws do if f () then incr hits done) in
+    Alcotest.(check (float 0.0)) (name ^ ": minor words over 10^5 draws") 0.0 words
+  in
+  count "int" (fun () -> Rng.int r 1000 = 0);
+  count "int_in" (fun () -> Rng.int_in r 5 9 = 5);
+  count "bool" (fun () -> Rng.bool r);
+  count "bernoulli" (fun () -> Rng.bernoulli r 0.3);
+  (* A [float] returned across a module boundary is boxed by the caller's
+     convention (2 words) unless the call is inlined; the draw itself
+     allocates nothing. *)
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to draws do if Rng.float r 1.0 < 0.5 then incr hits done)
+  in
+  Alcotest.(check bool) "float: at most its boxed result per draw" true
+    (words <= 2.0 *. float_of_int draws);
+  ignore (Sys.opaque_identity !hits)
+
 (* --- property tests --------------------------------------------------- *)
 
 let prop_int_in_range =
@@ -262,6 +346,16 @@ let prop_sample_distinct =
             fresh && v >= 0 && v < n)
           s
       end)
+
+let prop_sample_dense_equals_sparse =
+  QCheck.Test.make ~name:"sample_without_replacement: dense path = sparse path" ~count:500
+    QCheck.(triple small_int (int_bound 60) (int_bound 300))
+    (fun (seed, n, m) ->
+      (* m ranges over [0, n], with m = 0 and m = n both drawn often. *)
+      let m = match m mod 4 with 0 -> 0 | 1 -> n | _ -> m mod (n + 1) in
+      let a = Rng.create seed and b = Rng.create seed in
+      Rng.sample_dense a m n = Rng.sample_sparse b m n
+      && Rng.bits64 a = Rng.bits64 b)
 
 let prop_same_seed_same_stream =
   QCheck.Test.make ~name:"equal seeds give equal streams" ~count:100 QCheck.small_int
@@ -308,12 +402,21 @@ let () =
           Alcotest.test_case "split_n distinct" `Quick test_split_n;
           Alcotest.test_case "pick" `Quick test_pick;
         ] );
+      ( "vectors",
+        [
+          Alcotest.test_case "xoshiro create 0 and jump" `Quick test_xoshiro_known_answers;
+          Alcotest.test_case "rng int, float, split" `Quick test_rng_known_answers;
+          Alcotest.test_case "sample_without_replacement" `Quick test_sample_known_answers;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_int_in_range;
             prop_permutation_bijective;
             prop_sample_distinct;
+            prop_sample_dense_equals_sparse;
             prop_same_seed_same_stream;
           ] );
     ]

@@ -453,6 +453,40 @@ let test_registry_entry () =
         (summary "cogcast_soa" shards = classic))
     [ 1; 2; 8 ]
 
+(* COGCAST on the one-shard SoA backend in its steady state, where every
+   node is informed and broadcasts: the per-node label draw, the decision
+   and the log-free feedback allocate nothing. What is left is the engine's
+   feedback to losing broadcasters ([Lost] carries the winner and the
+   message: 3 words), which a lost broadcast receives by the paper's
+   collision model. Two runs differing only in their slot budget share all
+   setup, so their difference is the steady state alone. *)
+let steady_state_words_bound = 3.0
+
+let test_steady_state_allocation () =
+  let n = 10_000 in
+  let availability =
+    Dynamic.static
+      (Topology.shared_plus_random (Rng.create 5) { Topology.n; c = 16; k = 4 })
+  in
+  let backend = Runner.Soa { shards = 1; dense_channel_limit = None } in
+  let words max_slots =
+    let w0 = Gc.minor_words () in
+    let r =
+      Cogcast.run ~backend ~stop_when_complete:false ~source:0 ~availability
+        ~rng:(Rng.create 6) ~max_slots ()
+    in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "all informed" n r.Cogcast.informed_count;
+    w
+  in
+  let short = 20 and long = 40 in
+  let per_node_slot =
+    (words long -. words short) /. float_of_int (n * (long - short))
+  in
+  if per_node_slot > steady_state_words_bound then
+    Alcotest.failf "steady state allocates %.3f words/node-slot (bound %.2f)"
+      per_node_slot steady_state_words_bound
+
 let () =
   Alcotest.run "soa"
     [
@@ -474,5 +508,7 @@ let () =
           Alcotest.test_case "cogcast_soa equals cogcast" `Quick test_cogcast;
           Alcotest.test_case "registry entry honors env.shards" `Quick
             test_registry_entry;
+          Alcotest.test_case "steady state allocation bound" `Quick
+            test_steady_state_allocation;
         ] );
     ]
