@@ -378,6 +378,10 @@ let e21 () =
 let e22 () =
   header "E22" "COGCAST on the raw radio via decay sessions (footnote 4, end-to-end)";
   let c = 8 and k = 2 in
+  let decay =
+    Crn_radio.Runner.Emulation
+      { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+  in
   let ns = if !quick then [ 16; 64 ] else [ 16; 32; 64; 128; 256 ] in
   let t =
     Table.create
@@ -392,14 +396,12 @@ let e22 () =
             let run_rng = Rng.split rng in
             let assignment = Topology.shared_plus_random rng spec in
             let max_slots = 8 * Complexity.cogcast_slots ~n ~c ~k () in
-            let r, outcome =
-              Cogcast.run_emulated ~source:0
+            let r =
+              Cogcast.run ~backend:decay ~source:0
                 ~availability:(Dynamic.static assignment)
                 ~rng:run_rng ~max_slots ()
             in
-            ( r.Cogcast.slots_run,
-              outcome.Crn_radio.Emulation.raw_rounds,
-              outcome.Crn_radio.Emulation.failed_sessions ))
+            (r.Cogcast.slots_run, r.Cogcast.raw_rounds, r.Cogcast.failed_sessions))
       in
       let slots = Array.fold_left (fun acc (s, _, _) -> acc + s) 0 runs in
       let rounds = Array.fold_left (fun acc (_, r, _) -> acc + r) 0 runs in
@@ -425,10 +427,11 @@ let e22 () =
     Topology.shared_plus_random (Rng.create 29_500) { Topology.n; c; k }
   in
   let values = Array.init n (fun i -> i) in
-  let res, raw_rounds =
-    Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k
-      ~rng:(Rng.create 29_501) ()
+  let res =
+    Cogcomp.run ~backend:decay ~monoid:Aggregate.sum ~values ~source:0
+      ~assignment ~k ~rng:(Rng.create 29_501) ()
   in
+  let raw_rounds = res.Crn_core.Cogcomp.raw_rounds in
   note "COGCOMP end-to-end on the raw radio (n=32): complete=%b, sum %s, %d abstract"
     res.Crn_core.Cogcomp.complete
     (match res.Crn_core.Cogcomp.root_value with
@@ -453,8 +456,8 @@ let e25 () =
   let module Emulation = Crn_radio.Emulation in
   let c = 8 and k = 2 in
   let ns = if !quick then [ 16; 64 ] else [ 16; 64; 256 ] in
-  (* Every registry entry that accepts the emulation backend: all but the
-     struct-of-arrays twin and robust COGCOMP, which are engine-only. *)
+  (* Every registry entry that accepts the emulation backend: all but
+     robust COGCOMP, which is engine-only. *)
   let protos =
     [
       "cogcast";
@@ -548,7 +551,7 @@ let e25 () =
    the generic adapter. The of_run entries are excluded by construction —
    cogcomp and cogcomp_robust orchestrate several engine runs across
    phases, which is not a single machine the driver can re-place, and
-   cogcast's own SoA twin (cogcast_soa) is audited trace-for-trace in
+   cogcast on the soa backend is audited trace-for-trace in
    test/test_soa.ml — see EXPERIMENTS.md. *)
 let e26 () =
   header "E26" "Machine registry on the SoA backend: scale and parity";
@@ -650,5 +653,5 @@ let e26 () =
         (String.concat ", " (List.rev cs)));
   note "excluded: cogcomp and cogcomp_robust enter the registry via of_run —";
   note "multi-phase orchestrations of several engine runs, not one machine the";
-  note "generic driver can re-place; cogcast's soa twin (cogcast_soa) is held";
+  note "generic driver can re-place; cogcast on the soa backend is held";
   note "to the stronger trace-for-trace standard in test/test_soa.ml"

@@ -33,9 +33,9 @@ module Engine = Crn_radio.Engine
 module Emulation = Crn_radio.Emulation
 module Reference = Crn_radio.Reference
 module Soa = Crn_radio.Soa
+module Runner = Crn_radio.Runner
 module Action = Crn_radio.Action
 module Dynamic = Crn_channel.Dynamic
-module Cogcast_soa = Crn_core.Cogcast_soa
 module Pool = Crn_exec.Pool
 
 (* A contention-heavy synthetic protocol with a precomputed cyclic decision
@@ -144,19 +144,22 @@ let bench_soa_scaling () =
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         ignore
-          (Cogcast_soa.run ?pool ~shards ~stop_when_complete:false ~source:0
-             ~availability ~rng:(Rng.create 4242) ~max_slots ());
+          (Cogcast.run ?pool
+             ~backend:(Runner.Soa { shards; dense_channel_limit = None })
+             ~stop_when_complete:false ~source:0 ~availability
+             ~rng:(Rng.create 4242) ~max_slots ());
         (Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
       in
       (* The headline: a full broadcast to completion, all costs included. *)
       let t0 = Unix.gettimeofday () in
       let r =
-        Cogcast_soa.run ~source:0 ~availability ~rng:(Rng.create 4242)
-          ~max_slots:budget ()
+        Cogcast.run
+          ~backend:(Runner.Soa { shards = 1; dense_channel_limit = None })
+          ~source:0 ~availability ~rng:(Rng.create 4242) ~max_slots:budget ()
       in
       let complete_wall = Unix.gettimeofday () -. t0 in
       Bench_util.note
-        "cogcast_soa n=%-7d C=%d: informed %d/%d in %d slots, %.2f s wall (setup included)"
+        "cogcast soa n=%-7d C=%d: informed %d/%d in %d slots, %.2f s wall (setup included)"
         n big_c r.Crn_core.Cogcast.informed_count n
         r.Crn_core.Cogcast.slots_run complete_wall;
       let base_ms = ref 1.0 in
@@ -189,7 +192,7 @@ let bench_soa_scaling () =
               Printf.sprintf "%.2f" (!base_ms /. ms_per_slot);
             ];
           Bench_util.note
-            "cogcast_soa n=%-7d shards=%d: %.2f ms/slot steady-state, speedup %.2fx vs 1 shard"
+            "cogcast soa n=%-7d shards=%d: %.2f ms/slot steady-state, speedup %.2fx vs 1 shard"
             n shards ms_per_slot (!base_ms /. ms_per_slot))
         shard_counts)
     configs;
@@ -411,8 +414,9 @@ let bench_emulated =
     (Staged.stage (fun () ->
          let rng = Rng.create 12 in
          let assignment = Topology.shared_core rng { Topology.n = 32; c = 8; k = 4 } in
-         Cogcast.run_emulated ~source:0
-           ~availability:(Crn_channel.Dynamic.static assignment) ~rng
+         Cogcast.run
+           ~backend:(Runner.Emulation { strategy = Emulation.Decay; session_cap = None })
+           ~source:0 ~availability:(Crn_channel.Dynamic.static assignment) ~rng
            ~max_slots:2_000 ()))
 
 let tests =

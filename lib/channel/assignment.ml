@@ -34,14 +34,20 @@ let channels_per_node t = Array.length t.local_to_global.(0)
 
 let global_of_local t ~node ~label = t.local_to_global.(node).(label)
 
+(* Top level rather than a local closure, so a lookup allocates nothing. *)
+let rec find_label row channel i =
+  if i >= Array.length row then -1
+  else if row.(i) = channel then i
+  else find_label row channel (i + 1)
+
+let label_of_global t ~node ~channel = find_label t.local_to_global.(node) channel 0
+
 let local_of_global t ~node ~channel =
-  let row = t.local_to_global.(node) in
-  let rec scan i =
-    if i >= Array.length row then None
-    else if row.(i) = channel then Some i
-    else scan (i + 1)
-  in
-  scan 0
+  let label = label_of_global t ~node ~channel in
+  if label < 0 then None else Some label
+
+let mem t ~node ~channel =
+  channel >= 0 && channel < t.num_channels && Bitset.mem t.sets.(node) channel
 
 let channel_set t ~node = Bitset.copy t.sets.(node)
 

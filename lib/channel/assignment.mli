@@ -31,6 +31,15 @@ val local_of_global : t -> node:int -> channel:int -> int option
 (** [local_of_global t ~node ~channel] is the node's label for [channel], or
     [None] if the channel is not in the node's set. *)
 
+val label_of_global : t -> node:int -> channel:int -> int
+(** Like {!local_of_global} but [-1] when the channel is not in the node's
+    set; allocates nothing, for per-slot lookups. *)
+
+val mem : t -> node:int -> channel:int -> bool
+(** Whether [channel] is in the node's set (any [channel] outside
+    [0 .. num_channels-1] is not); a lookup in the cached bitset, without
+    copying it. *)
+
 val channel_set : t -> node:int -> Bitset.t
 (** The node's channel set as a bitset over [0 .. num_channels-1]. *)
 

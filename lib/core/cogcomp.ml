@@ -19,6 +19,7 @@ type 'a result = {
   terminated : bool array;
   max_payload : int;
   total_payload : int;
+  raw_rounds : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -395,10 +396,17 @@ let run_phase4 (type a) ?measure ?trace ~mediated ~(monoid : a Aggregate.monoid)
 (* The full protocol.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
-    ~raw_rounds ?jammer ?faults ?budget_factor ?max_phase4_steps
-    ?(mediated = true) ?measure ?trace ~monoid ~values ~source ~assignment ~k ~rng ()
-    =
+let run ?(backend = Runner.Engine) ?jammer ?faults ?budget_factor
+    ?max_phase4_steps ?(mediated = true) ?measure ?trace ~monoid ~values ~source
+    ~assignment ~k ~rng () =
+  (match backend with
+  | Runner.Engine | Runner.Emulation _ -> ()
+  | Runner.Reference | Runner.Soa _ ->
+      invalid_arg
+        (Printf.sprintf
+           "cogcomp: the %s backend is not supported (multi-phase protocol; \
+            each phase orchestrates its own engine runs)"
+           (Runner.backend_name backend)));
   let n = Assignment.num_nodes assignment in
   if Array.length values <> n then invalid_arg "Cogcomp.run: values length mismatch";
   let availability = Dynamic.static assignment in
@@ -407,31 +415,19 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
     | Some tr -> Trace.record tr (Trace.Phase { name })
     | None -> ()
   in
-  let make_runner rng =
-    let backend =
-      if emulated then Runner.Emulation { strategy; session_cap }
-      else Runner.Engine
-    in
-    accumulating ~raw_rounds
-      (Runner.make ?jammer ?faults ?trace ~backend ~availability ~rng ())
-  in
   (* Phase 1: COGCAST with recording; fixed length so that all nodes agree on
      phase boundaries. *)
   let cast =
-    if emulated then begin
-      let c = Assignment.channels_per_node assignment in
-      let max_slots = Complexity.cogcast_slots ?factor:budget_factor ~n ~c ~k () in
-      let cast, outcome =
-        Cogcast.run_emulated ~strategy ?session_cap ?jammer ?faults ?trace
-          ~record:true ~stop_when_complete:false ~source ~availability
-          ~rng:(Rng.split rng) ~max_slots ()
-      in
-      raw_rounds := !raw_rounds + outcome.Crn_radio.Emulation.raw_rounds;
-      cast
-    end
-    else
-      Cogcast.run_static ?jammer ?faults ?budget_factor ?trace ~record:true
-        ~stop_when_complete:false ~source ~assignment ~k ~rng:(Rng.split rng) ()
+    let c = Assignment.channels_per_node assignment in
+    Cogcast.run ?jammer ?faults ?trace ~backend ~record:true
+      ~stop_when_complete:false ~source ~availability ~rng:(Rng.split rng)
+      ~max_slots:(Complexity.cogcast_slots ?factor:budget_factor ~n ~c ~k ())
+      ()
+  in
+  let raw_rounds = ref cast.Cogcast.raw_rounds in
+  let make_runner rng =
+    accumulating ~raw_rounds
+      (Runner.make ?jammer ?faults ?trace ~backend ~availability ~rng ())
   in
   let tree = Disttree.of_result cast in
   mark "cogcomp-phase2";
@@ -480,21 +476,5 @@ let run_with ~emulated ?(strategy = Crn_radio.Emulation.Decay) ?session_cap
     terminated;
     max_payload;
     total_payload;
+    raw_rounds = !raw_rounds;
   }
-
-let run ?jammer ?faults ?budget_factor ?max_phase4_steps ?mediated ?measure ?trace
-    ~monoid ~values ~source ~assignment ~k ~rng () =
-  run_with ~emulated:false ~raw_rounds:(ref 0) ?jammer ?faults ?budget_factor
-    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source ~assignment
-    ~k ~rng ()
-
-let run_emulated ?strategy ?session_cap ?jammer ?faults ?budget_factor
-    ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values ~source
-    ~assignment ~k ~rng () =
-  let raw_rounds = ref 0 in
-  let result =
-    run_with ~emulated:true ?strategy ?session_cap ~raw_rounds ?jammer ?faults
-      ?budget_factor ?max_phase4_steps ?mediated ?measure ?trace ~monoid ~values
-      ~source ~assignment ~k ~rng ()
-  in
-  (result, !raw_rounds)

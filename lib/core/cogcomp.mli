@@ -49,39 +49,13 @@ type 'a result = {
       (** Largest payload (per [?measure]) carried by any phase-4 value
           message; [0] when no measure was supplied. *)
   total_payload : int;  (** Sum of measured payloads over all value sends. *)
+  raw_rounds : int;
+      (** Raw radio rounds consumed across all four phases; [0] on the
+          abstract engine. *)
 }
 
-val run_emulated :
-  ?strategy:Crn_radio.Emulation.strategy ->
-  ?session_cap:int ->
-  ?jammer:Crn_radio.Jammer.t ->
-  ?faults:Crn_radio.Faults.t ->
-  ?budget_factor:float ->
-  ?max_phase4_steps:int ->
-  ?mediated:bool ->
-  ?measure:('a -> int) ->
-  ?trace:Crn_radio.Trace.t ->
-  monoid:'a Aggregate.monoid ->
-  values:'a array ->
-  source:int ->
-  assignment:Crn_channel.Assignment.t ->
-  k:int ->
-  rng:Crn_prng.Rng.t ->
-  unit ->
-  'a result * int
-(** All four phases executed over the raw collision radio
-    ({!Crn_radio.Emulation}): every abstract slot of every phase is realized
-    by contention sessions — decay backoff by default, CSMA/CA with
-    [~strategy:Csma] — so the complete aggregation stack runs without the
-    §2 one-winner abstraction. Returns the result paired with the total raw
-    rounds consumed across all phases. Correct for the same reason the
-    abstract version is — the emulation preserves the one-winner semantics
-    per slot w.h.p. (a session that does fail its cap surfaces as
-    {!Crn_radio.Action.No_winner} to its broadcasters, and the phases
-    degrade exactly as they would under a lost slot). [?jammer]/[?faults]
-    compose at the abstract-slot level with the same caveats as {!run}. *)
-
 val run :
+  ?backend:Crn_radio.Runner.backend ->
   ?jammer:Crn_radio.Jammer.t ->
   ?faults:Crn_radio.Faults.t ->
   ?budget_factor:float ->
@@ -110,6 +84,19 @@ val run :
     yielding [complete = false] (or, for aggressive schedules, a genuinely
     wrong partial fold). They exist so the chaos harness can measure that
     degradation; use {!Cogcomp_robust} for runs that should tolerate faults.
+
+    [?backend] (default {!Crn_radio.Runner.Engine}) runs every phase on the
+    given slot loop. On a {!Crn_radio.Runner.Emulation} backend all four
+    phases execute over the raw collision radio: every abstract slot is
+    realized by contention sessions (decay backoff or CSMA/CA, per the
+    backend's strategy), so the complete aggregation stack runs without
+    the §2 one-winner abstraction, and [raw_rounds] reports the total
+    cost. It stays correct for the same reason the abstract run is: the
+    emulation preserves the one-winner semantics per slot w.h.p., and a
+    session that fails its cap surfaces as {!Crn_radio.Action.No_winner},
+    which the phases treat as a lost slot. The {!Crn_radio.Runner.Reference}
+    and {!Crn_radio.Runner.Soa} backends raise [Invalid_argument]: each
+    phase orchestrates its own engine runs.
 
     With [?trace] supplied, the run streams a slot-level event log: the
     phase-1 COGCAST header and [Informed] tree edges, a

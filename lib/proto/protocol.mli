@@ -77,9 +77,8 @@ val env :
 (** Environment constructor; defaults: [source = 0], [k = 1], backend
     {!Crn_radio.Runner.Engine}, [shards = 1], everything else off. Raises
     [Invalid_argument] when [shards < 1] or a supplied load rate is not
-    positive. [shards > 1] is validated against the backend at run time
-    ({!resolve_backend}), not here, because [cogcast_soa] resolves it
-    against its own default backend. *)
+    positive. [shards > 1] is validated against the backend at run time,
+    by {!resolve_backend}. *)
 
 val resolve_backend :
   protocol:string ->

@@ -47,15 +47,6 @@ let of_emulation (o : Emulation.outcome) =
     failed_sessions = o.Emulation.failed_sessions;
   }
 
-let emulation_outcome o =
-  {
-    Emulation.slots_run = o.slots_run;
-    stopped_early = o.stopped_early;
-    counters = o.counters;
-    raw_rounds = o.raw_rounds;
-    failed_sessions = o.failed_sessions;
-  }
-
 let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
     ?trace ?(backend = Engine) ~availability ~rng () =
   match backend with
@@ -91,9 +82,16 @@ let make ?pool ?machine_parallel:(parallel = false) ?jammer ?faults ?metrics
             then
               invalid_arg
                 "Runner: node array disagrees with availability node count";
-            let protocol = Soa_adapter.protocol ~parallel nodes in
-            of_engine
-              (Soa.run ?pool ~shards ?dense_channel_limit ?jammer ?faults
-                 ?metrics ?trace ?stop ~availability ~rng ~protocol ~max_slots
-                 ()));
+            (* {!Soa.run} records no events; a traced run takes the loop
+               the SoA engine reproduces, so its trace is the engine's. *)
+            match trace with
+            | Some _ ->
+                of_engine
+                  (Engine.run ?jammer ?faults ?metrics ?trace ?stop
+                     ~availability ~rng ~nodes ~max_slots ())
+            | None ->
+                let protocol = Soa_adapter.protocol ~parallel nodes in
+                of_engine
+                  (Soa.run ?pool ~shards ?dense_channel_limit ?jammer ?faults
+                     ?metrics ?stop ~availability ~rng ~protocol ~max_slots ()));
       }

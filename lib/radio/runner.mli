@@ -14,7 +14,9 @@
     {- {!Emulation} — the footnote-4 raw collision radio
        ({!Emulation.run}), reporting raw-round cost;}
     {- {!Reference} — the list-based executable specification
-       ({!Reference.engine_run}), for differential tests.}}
+       ({!Reference.engine_run}), for differential tests;}
+    {- {!Soa} — the struct-of-arrays engine ({!Soa.run}) for large [n];
+       traced runs take {!Engine.run}.}}
 
     The runner adds no semantics of its own: each backend receives exactly
     the arguments the caller supplied, so a protocol run through a {!t} is
@@ -37,7 +39,9 @@ type backend =
           any shard count by the SoA determinism contract;
           [dense_channel_limit] ([None] = the {!Soa.run} default) selects
           the occupancy-counting strategy crossover for the [c >> n]
-          regime. Traced runs use the SoA sequential twin. *)
+          regime. A traced run executes the nodes on {!Engine.run} (the
+          loop {!Soa.run} reproduces, which records no events), so its
+          trace is the engine's by construction. *)
 
 val backend_name : backend -> string
 (** The CLI vocabulary for a backend — ["engine"], ["emulation"],
@@ -94,7 +98,3 @@ val make :
     sharded. Leave it [false] for machines with shared mutable state or a
     shared decide-time RNG; the SoA engine then calls them sequentially
     and still shards the channel phases (see {!Soa.protocol}). *)
-
-val emulation_outcome : outcome -> Emulation.outcome
-(** Repackage a runner outcome as the {!Emulation.outcome} the footnote-4
-    APIs return; meaningful for runs on the {!Emulation} backend. *)

@@ -5,7 +5,7 @@
    thousand nodes, but at n = 10^5..10^6 the pointer graph stops fitting in
    cache and a single core stops being enough. This engine keeps the same
    slot semantics — PR 4's canonical resolution order, byte-identical
-   traces — on a flat representation:
+   results — on a flat representation:
 
    - Node state is five dense arrays indexed by node id (one intent byte,
      label, message, tuned global channel) so a slot's working set streams
@@ -55,14 +55,11 @@
    Both strategies count the same totals and draw in the same order, so
    the choice is observationally invisible.
 
-   Tracing takes a third path: a fully sequential twin of {!Engine.run}'s
-   loop built on {!Scratch} chains, emitting events in exactly the PR 4
-   order (per-node Decide/Jam/Down ascending; per-channel Win ascending
-   with broadcaster feedback then Deliver+listener feedback in descending
-   node id; Silent/Jammed in a final ascending node scan) and calling the
-   protocol with singleton ranges. Traced runs are therefore byte-equal to
-   {!Engine.run} traces by construction, and the differential tests in
-   [test/test_soa.ml] hold all three paths to that standard. *)
+   This engine records no event trace. A traced run on the
+   {!Runner.Soa} backend executes the machine's nodes on {!Engine.run}
+   instead, so its trace is the engine's by construction; the
+   differential tests in [test/test_soa.ml] hold both the traced routing
+   and this loop to the engine's results. *)
 
 module Rng = Crn_prng.Rng
 module Dynamic = Crn_channel.Dynamic
@@ -173,7 +170,7 @@ let bad_label node label c =
     (Printf.sprintf "Soa.run: node %d chose label %d outside [0,%d)" node label c)
 
 let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
-    ?metrics ?trace ?stop ?on_slot_end ?(dense_channel_limit = 4096)
+    ?metrics ?stop ?on_slot_end ?(dense_channel_limit = 4096)
     ~availability ~rng ~protocol ~max_slots () =
   let n = Dynamic.num_nodes availability in
   if n = 0 then invalid_arg "Soa.run: no nodes";
@@ -197,22 +194,8 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
   let counters = Trace.Counters.create () in
   let slot = ref 0 in
   let stopped = ref false in
-  let end_slot s =
-    counters.Trace.Counters.slots_run <- counters.Trace.Counters.slots_run + 1;
-    if Jammer.observes jammer then begin
-      let occupancy = ref [] in
-      for j = t.active_len - 1 downto 0 do
-        let channel = t.active.(j) in
-        occupancy := (channel, t.count.(channel)) :: !occupancy
-      done;
-      Jammer.observe jammer ~slot:s !occupancy
-    end;
-    (match on_slot_end with Some f -> f ~slot:s | None -> ());
-    (match stop with Some f -> if f ~slot:s then stopped := true | None -> ());
-    incr slot
-  in
-  (* ---- The fast path: no tracing, node ranges sharded over [exec]. ---- *)
-  let fast exec =
+  (* Node ranges shard over [exec] when one is given. *)
+  let loop exec =
     let sub = ref [||] in  (* shards x num_channels per-shard counts (dense) *)
     let bcast_partial = Array.make shards 0 in
     let jam_partial = Array.make shards 0 in
@@ -427,123 +410,23 @@ let run ?pool ?(shards = 1) ?(jammer = Jammer.none) ?(faults = Faults.none)
         counters.Trace.Counters.jammed_actions + !jams;
       counters.Trace.Counters.deliveries <-
         counters.Trace.Counters.deliveries + !deliveries;
-      end_slot s
+      counters.Trace.Counters.slots_run <- counters.Trace.Counters.slots_run + 1;
+      if Jammer.observes jammer then begin
+        let occupancy = ref [] in
+        for j = t.active_len - 1 downto 0 do
+          let channel = t.active.(j) in
+          occupancy := (channel, t.count.(channel)) :: !occupancy
+        done;
+        Jammer.observe jammer ~slot:s !occupancy
+      end;
+      (match on_slot_end with Some f -> f ~slot:s | None -> ());
+      (match stop with Some f -> if f ~slot:s then stopped := true | None -> ());
+      incr slot
     done
   in
-  (* ---- The traced path: a sequential twin of {!Engine.run} emitting
-     events in exactly its order, so traces are byte-equal by
-     construction. Protocol callbacks use singleton ranges. ---- *)
-  let traced tr =
-    let emit ev = Trace.record tr ev in
-    let scratch = Scratch.create ~num_nodes:n in
-    while (not !stopped) && !slot < max_slots do
-      let s = !slot in
-      let assignment = Dynamic.at availability s in
-      let c = Assignment.channels_per_node assignment in
-      let cn = Assignment.num_channels assignment in
-      ensure_channels t cn;
-      Scratch.begin_slot scratch ~num_channels:cn;
-      for j = 0 to t.active_len - 1 do
-        t.count.(t.active.(j)) <- 0
-      done;
-      t.active_len <- 0;
-      for i = 0 to n - 1 do
-        if faults_down ~slot:s ~node:i then begin
-          Bytes.unsafe_set t.intent i down;
-          emit (Trace.Down { slot = s; node = i })
-        end
-        else begin
-          Bytes.unsafe_set t.intent i idle;
-          protocol.decide t ~slot:s ~lo:i ~hi:(i + 1);
-          let code = Bytes.unsafe_get t.intent i in
-          if code = listen || code = broadcast then begin
-            let label = t.label.(i) in
-            if label < 0 || label >= c then bad_label i label c;
-            let channel = Assignment.global_of_local assignment ~node:i ~label in
-            t.tuned.(i) <- channel;
-            bump (fun m -> m.Metrics.awake_slots) i;
-            if jammer_jams ~slot:s ~node:i ~channel then begin
-              Bytes.unsafe_set t.intent i
-                (if code = broadcast then jammed_broadcast else jammed_listen);
-              counters.Trace.Counters.jammed_actions <-
-                counters.Trace.Counters.jammed_actions + 1;
-              emit (Trace.Jam { slot = s; node = i; channel });
-              bump (fun m -> m.Metrics.jammed) i
-            end
-            else begin
-              emit
-                (Trace.Decide
-                   { slot = s; node = i; channel; label; tx = code = broadcast });
-              if code = broadcast then begin
-                Scratch.add_broadcaster scratch ~channel ~node:i;
-                if t.count.(channel) = 0 then begin
-                  t.active.(t.active_len) <- channel;
-                  t.active_len <- t.active_len + 1
-                end;
-                t.count.(channel) <- t.count.(channel) + 1;
-                counters.Trace.Counters.broadcasts <-
-                  counters.Trace.Counters.broadcasts + 1;
-                bump (fun m -> m.Metrics.transmissions) i
-              end
-              else Scratch.add_listener scratch ~channel ~node:i
-            end
-          end
-        end
-      done;
-      Scratch.sort_active scratch;
-      for j = 0 to scratch.Scratch.active_len - 1 do
-        let channel = scratch.Scratch.active.(j) in
-        let m = scratch.Scratch.bcast_count.(channel) in
-        if m > 0 then begin
-          let widx = if m = 1 then 0 else Rng.int rng m in
-          let winner_id = Scratch.nth_broadcaster scratch ~channel widx in
-          t.winner.(channel) <- winner_id;
-          t.winner_msg.(channel) <- t.msg.(winner_id);
-          counters.Trace.Counters.wins <- counters.Trace.Counters.wins + 1;
-          if m > 1 then
-            counters.Trace.Counters.contended <-
-              counters.Trace.Counters.contended + 1;
-          emit (Trace.Win { slot = s; channel; winner = winner_id; contenders = m });
-          let b = ref scratch.Scratch.bcast_head.(channel) in
-          while !b >= 0 do
-            let node = !b in
-            b := scratch.Scratch.next.(node);
-            protocol.feedback t ~slot:s ~lo:node ~hi:(node + 1)
-          done;
-          let l = ref scratch.Scratch.listen_head.(channel) in
-          while !l >= 0 do
-            let node = !l in
-            l := scratch.Scratch.next.(node);
-            counters.Trace.Counters.deliveries <-
-              counters.Trace.Counters.deliveries + 1;
-            emit
-              (Trace.Deliver { slot = s; channel; sender = winner_id; receiver = node });
-            bump (fun m -> m.Metrics.receptions) node;
-            protocol.feedback t ~slot:s ~lo:node ~hi:(node + 1)
-          done
-        end
-      done;
-      for i = 0 to n - 1 do
-        let code = Bytes.unsafe_get t.intent i in
-        if code = jammed_listen || code = jammed_broadcast then
-          protocol.feedback t ~slot:s ~lo:i ~hi:(i + 1)
-        else if code = listen && t.count.(t.tuned.(i)) = 0 then begin
-          emit (Trace.Silent { slot = s; node = i; channel = t.tuned.(i) });
-          protocol.feedback t ~slot:s ~lo:i ~hi:(i + 1)
-        end
-      done;
-      (* [t.active] is in discovery order here (the canonical order came
-         from the scratch chains); the observe report must be ascending. *)
-      if Jammer.observes jammer then Scratch.sort_prefix t.active t.active_len;
-      end_slot s
-    done
-  in
-  (match trace with
-  | Some tr -> traced tr
-  | None -> (
-      if shards = 1 then fast None
-      else
-        match pool with
-        | Some p -> fast (Some p)
-        | None -> Pool.with_pool ~jobs:shards (fun p -> fast (Some p))));
+  (if shards = 1 then loop None
+   else
+     match pool with
+     | Some p -> loop (Some p)
+     | None -> Pool.with_pool ~jobs:shards (fun p -> loop (Some p)));
   { slots_run = !slot; stopped_early = !stopped; counters }

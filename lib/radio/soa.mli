@@ -55,10 +55,9 @@
     to sequential O(n) occupancy scans. Both count identical totals and
     draw in identical order, so the strategy choice never changes results.
 
-    Passing [?trace] switches to a sequential twin of {!Engine.run}'s loop
-    (built on {!Scratch} chains) that emits events in exactly the PR 4
-    order and calls the protocol with singleton ranges; traced runs are
-    byte-equal to {!Engine.run} traces by construction. *)
+    This engine records no event trace: a traced run on the [Runner.Soa]
+    backend executes the machine's nodes on {!Engine.run}, so its trace is
+    the engine's by construction. *)
 
 (** {1 Node state} *)
 
@@ -89,8 +88,7 @@ type t = {
   mutable owner : int array;  (** Internal: selecting shard (dense mode). *)
   active : int array;
       (** Channels with at least one audible broadcaster this slot,
-          [active.(0 .. active_len - 1)], in ascending channel id on the
-          fast path. *)
+          [active.(0 .. active_len - 1)], in ascending channel id. *)
   mutable active_len : int;
 }
 
@@ -132,8 +130,7 @@ val down : char
     drawn only from per-node streams, and shared aggregates are [Atomic]
     and commutative (e.g. a fetch-and-add informed counter), so their
     final value is shard-count independent. The engine then calls a
-    [parallel] callback with ranges of any granularity: whole shards on
-    the fast path, singletons on the traced path.
+    [parallel] callback with whole shards of any size.
 
     A protocol with [parallel = false] — one that draws from a stream
     shared across nodes in [decide], or mutates plain shared counters —
@@ -143,8 +140,8 @@ val down : char
     shard). Decide-time draws from the shared [rng] then interleave with
     the winner draws exactly as under {!Engine.run}, so results stay
     byte-identical to the classic engine at any shard count. Feedback
-    must still be order-commutative across nodes (the fast path delivers
-    it in ascending node order, {!Engine.run} per channel), which every
+    must still be order-commutative across nodes (this engine delivers it
+    in ascending node order, {!Engine.run} per channel), which every
     machine in the registry is. *)
 
 type protocol = {
@@ -207,7 +204,6 @@ val run :
   ?jammer:Jammer.t ->
   ?faults:Faults.t ->
   ?metrics:Metrics.t ->
-  ?trace:Trace.t ->
   ?stop:(slot:int -> bool) ->
   ?on_slot_end:(slot:int -> unit) ->
   ?dense_channel_limit:int ->
@@ -231,10 +227,6 @@ val run :
 
     [dense_channel_limit] (default 4096) caps the spectrum size for the
     dense counting strategy; tests pass [0] to force the sparse path.
-
-    [trace] selects the sequential traced twin; the trace is byte-equal to
-    {!Engine.run}'s for a protocol behaving identically, and [shards] is
-    then ignored (results still match, by the same contract).
 
     Raises [Invalid_argument] on an empty availability, negative
     [max_slots], [shards < 1], wrongly-sized [metrics], or a [decide]

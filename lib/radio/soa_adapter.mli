@@ -20,11 +20,11 @@
     which is correct for every machine whose feedback is
     order-commutative.
 
-    Feedback-order caveat, inherited from the SoA fast path: feedback
-    arrives in ascending node id, not {!Engine.run}'s per-channel order,
-    so a machine's feedback must be order-commutative across nodes for
-    untraced results to match the classic engine (traced runs use the
-    sequential twin, which replays the exact engine order). Every registry
+    Feedback-order caveat, inherited from {!Soa.run}: feedback arrives in
+    ascending node id, not {!Engine.run}'s per-channel order, so a
+    machine's feedback must be order-commutative across nodes for untraced
+    results to match the classic engine (traced runs execute on
+    {!Engine.run} itself, in the exact engine order). Every registry
     machine satisfies this; the differential suite in [test/test_soa.ml]
     enforces it entry by entry. *)
 

@@ -7,28 +7,40 @@ type schedule = { schedule_name : string; channel_at : slot:int -> int }
 
 let channel_of_schedule assignment ~node schedule ~slot =
   let channel = schedule.channel_at ~slot in
-  match Assignment.local_of_global assignment ~node ~channel with
-  | Some _ -> channel
-  | None ->
-      invalid_arg
-        (Printf.sprintf "%s: node %d left its channel set at slot %d (channel %d)"
-           schedule.schedule_name node slot channel)
+  if Assignment.mem assignment ~node ~channel then channel
+  else
+    invalid_arg
+      (Printf.sprintf "%s: node %d left its channel set at slot %d (channel %d)"
+         schedule.schedule_name node slot channel)
 
-let is_prime n =
-  if n < 2 then false
-  else begin
-    let rec loop d = d * d > n || (n mod d <> 0 && loop (d + 1)) in
-    loop 2
-  end
+(* Top-level loops rather than local closures: every node's schedule
+   computes its prime, so these run n times per setup. *)
+let rec no_divisor_from n d = d * d > n || (n mod d <> 0 && no_divisor_from n (d + 1))
 
-let smallest_prime_geq n =
-  let rec loop v = if is_prime v then v else loop (v + 1) in
-  loop (max 2 n)
+let is_prime n = n >= 2 && no_divisor_from n 2
 
-(* Own-channel lookup table for a node, in increasing global id. *)
+let rec smallest_prime_from v = if is_prime v then v else smallest_prime_from (v + 1)
+
+let smallest_prime_geq n = smallest_prime_from (max 2 n)
+
+(* Own-channel lookup table for a node, in increasing global id. An
+   insertion sort of the c labels: [Array.sort] would allocate its helper
+   closures once per node. *)
 let own_channels assignment ~node =
-  let set = Assignment.channel_set assignment ~node in
-  Crn_channel.Bitset.to_array set
+  let own =
+    Array.init (Assignment.channels_per_node assignment) (fun label ->
+        Assignment.global_of_local assignment ~node ~label)
+  in
+  for i = 1 to Array.length own - 1 do
+    let x = own.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && own.(!j) > x do
+      own.(!j + 1) <- own.(!j);
+      decr j
+    done;
+    own.(!j + 1) <- x
+  done;
+  own
 
 let modular_clock assignment ~node ~rate =
   let own = own_channels assignment ~node in
@@ -50,13 +62,7 @@ let jump_stay assignment ~node =
   let p = smallest_prime_geq big_c in
   (* Fold a virtual channel in [0, P) into the node's own set: use it
      directly if owned, otherwise map through the node's set. *)
-  let fold x =
-    if x < big_c then
-      match Assignment.local_of_global assignment ~node ~channel:x with
-      | Some _ -> x
-      | None -> own.(x mod c)
-    else own.(x mod c)
-  in
+  let fold x = if Assignment.mem assignment ~node ~channel:x then x else own.(x mod c) in
   let round_len = 3 * p in
   {
     schedule_name = "jump-stay";
@@ -126,17 +132,18 @@ let machine ~make_schedule ~source ~assignment =
      counter is bumped at most once per node, so the total is
      shard-count independent. *)
   let informed_count = Atomic.make 1 in
+  (* Every decision a node can make, built once per run. *)
+  let c = Assignment.channels_per_node assignment in
+  let listen = Array.init c (fun label -> Action.listen ~label) in
+  let broadcast = Array.init c (fun label -> Action.broadcast ~label Payload) in
   let decide ~node:v ~slot =
     let channel = schedules.(v).channel_at ~slot in
-    let label =
-      match Assignment.local_of_global assignment ~node:v ~channel with
-      | Some label -> label
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Deterministic.broadcast: schedule %s left node %d's set"
-               schedules.(v).schedule_name v)
-    in
-    if informed.(v) then Action.broadcast ~label Payload else Action.listen ~label
+    let label = Assignment.label_of_global assignment ~node:v ~channel in
+    if label < 0 then
+      invalid_arg
+        (Printf.sprintf "Deterministic.broadcast: schedule %s left node %d's set"
+           schedules.(v).schedule_name v);
+    if informed.(v) then broadcast.(label) else listen.(label)
   in
   let feedback ~node:v ~slot:_ = function
     | Action.Heard { msg = Payload; _ } ->

@@ -260,6 +260,10 @@ let test_payload_multiset_linear () =
        ~source:0 ~assignment ~k:3 ~rng:(Rng.create 11) ())
       .Cogcomp.max_payload
 
+let decay =
+  Crn_radio.Runner.Emulation
+    { strategy = Crn_radio.Emulation.Decay; session_cap = None }
+
 let test_fully_emulated_cogcomp () =
   (* The entire four-phase protocol over the raw collision radio: correct
      result, raw-round cost bounded by cap x total abstract slots. *)
@@ -268,10 +272,11 @@ let test_fully_emulated_cogcomp () =
       let spec = { Topology.n = 24; c = 8; k = 3 } in
       let assignment = Topology.shared_plus_random (Rng.create seed) spec in
       let values = Array.init 24 (fun i -> i + 2) in
-      let res, raw_rounds =
-        Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment
-          ~k:3 ~rng:(Rng.create (seed + 60)) ()
+      let res =
+        Cogcomp.run ~backend:decay ~monoid:Aggregate.sum ~values ~source:0
+          ~assignment ~k:3 ~rng:(Rng.create (seed + 60)) ()
       in
+      let raw_rounds = res.Cogcomp.raw_rounds in
       check "emulated complete" true res.Cogcomp.complete;
       Alcotest.(check (option int)) "emulated sum" (Some (Array.fold_left ( + ) 0 values))
         res.Cogcomp.root_value;
@@ -290,9 +295,9 @@ let test_emulated_matches_abstract_value () =
     Cogcomp.run ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:2
       ~rng:(Rng.create 71) ()
   in
-  let b, _ =
-    Cogcomp.run_emulated ~monoid:Aggregate.sum ~values ~source:0 ~assignment ~k:2
-      ~rng:(Rng.create 72) ()
+  let b =
+    Cogcomp.run ~backend:decay ~monoid:Aggregate.sum ~values ~source:0
+      ~assignment ~k:2 ~rng:(Rng.create 72) ()
   in
   Alcotest.(check (option int)) "same value" a.Cogcomp.root_value b.Cogcomp.root_value
 

@@ -21,6 +21,7 @@ module Dynamic = Crn_channel.Dynamic
 module Action = Crn_radio.Action
 module Engine = Crn_radio.Engine
 module Emulation = Crn_radio.Emulation
+module Runner = Crn_radio.Runner
 module Reference = Crn_radio.Reference
 module Trace = Crn_radio.Trace
 module Metrics = Crn_radio.Metrics
@@ -415,37 +416,46 @@ let test_workload_engine_matches_reference () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Satellite regression: Cogcast.run_emulated used to report all-zero
-   counters. They must now match the emulation outcome's accounting, and
-   that accounting must agree with the recorded trace event by event. *)
+(* Regression: COGCAST on the emulation backend used to report all-zero
+   counters. Its counters, raw rounds and failed sessions must agree with
+   the recorded trace event by event. *)
 let test_emulated_counters_real () =
   let rng = Rng.create 5 in
   let spec = { Topology.n = 24; c = 8; k = 2 } in
   let assignment = Topology.shared_core rng spec in
   let tr = Trace.create () in
-  let r, outcome =
-    Cogcast.run_emulated ~trace:tr ~source:0
+  let r =
+    Cogcast.run
+      ~backend:(Runner.Emulation { strategy = Emulation.Decay; session_cap = None })
+      ~trace:tr ~source:0
       ~availability:(Dynamic.static assignment)
       ~rng ~max_slots:2_000 ()
   in
   check "run completes" true (r.Cogcast.completed_at <> None);
-  check_counters "result counters = outcome counters" r.Cogcast.counters
-    outcome.Emulation.counters;
   let c = r.Cogcast.counters in
   check "counters not all zero" true (c.Trace.Counters.deliveries > 0);
   (* Replay the trace and re-derive every counter. *)
   let wins = ref 0
   and deliveries = ref 0
   and broadcasts = ref 0
-  and contended = ref 0 in
+  and contended = ref 0
+  and failed = ref 0 in
+  (* A slot costs its longest session, and at least one round. *)
+  let slot_rounds = Array.make r.Cogcast.slots_run 1 in
   Trace.iter
     (function
       | Trace.Win _ -> incr wins
       | Trace.Deliver _ -> incr deliveries
       | Trace.Decide { tx = true; _ } -> incr broadcasts
-      | Trace.Session { contenders; _ } when contenders > 1 -> incr contended
+      | Trace.Session { slot; contenders; rounds; ok; _ } ->
+          if contenders > 1 then incr contended;
+          if not ok then incr failed;
+          slot_rounds.(slot) <- max slot_rounds.(slot) rounds
       | _ -> ())
     tr;
+  check_int "raw rounds from trace" (Array.fold_left ( + ) 0 slot_rounds)
+    r.Cogcast.raw_rounds;
+  check_int "failed sessions from trace" !failed r.Cogcast.failed_sessions;
   check_int "wins from trace" !wins c.Trace.Counters.wins;
   check_int "deliveries from trace" !deliveries c.Trace.Counters.deliveries;
   check_int "broadcasts from trace" !broadcasts c.Trace.Counters.broadcasts;
@@ -524,7 +534,7 @@ let () =
         ] );
       ( "emulated-counters",
         [
-          Alcotest.test_case "run_emulated counters are real" `Quick
+          Alcotest.test_case "emulation counters are real" `Quick
             test_emulated_counters_real;
           Alcotest.test_case "scripted counters: engine = emulation" `Quick
             test_counters_parity_engine_vs_emulation;

@@ -358,8 +358,8 @@ let test_soa_backend_sweep () =
   (* The registry audit on the soa backend: every entry that supports it
      (the eight machines and cogcast) runs sharded under faults and
      matches its engine summary byte-for-byte; the of_run multi-phase
-     entries reject it by name. The deeper shard/strategy/trace matrix —
-     cogcast_soa included — lives in test/test_soa.ml. *)
+     entries reject it by name. The deeper shard/strategy/trace matrix
+     lives in test/test_soa.ml. *)
   let module Runner = Crn_radio.Runner in
   let module Json = Crn_stats.Json in
   let n = 24 and c = 6 and k = 2 in
@@ -399,7 +399,7 @@ let test_soa_backend_sweep () =
 (* ---- registry lookup ---- *)
 
 let test_registry_lookup () =
-  Alcotest.(check int) "twelve entries" 12 (List.length Registry.all);
+  Alcotest.(check int) "eleven entries" 11 (List.length Registry.all);
   let names = Registry.names () in
   Alcotest.(check int)
     "names unique"
@@ -413,6 +413,66 @@ let test_registry_lookup () =
       Alcotest.(check string) "hyphen normalization" "cogcomp_robust" (Protocol.name p)
   | None -> Alcotest.fail "cogcomp-robust not found");
   Alcotest.(check bool) "unknown name" true (Registry.find "no_such_protocol" = None)
+
+(* ---- the CLI's error contract, end to end ---- *)
+
+(* Bad input (an unknown or retired protocol, impossible topology
+   parameters, a shard count the backend cannot honor, an unsupported
+   adversary mode) must exit nonzero with exactly one line on stderr, and
+   never with an OCaml exception or backtrace. *)
+let test_cli_errors () =
+  (* cwd is _build/default/test under `dune runtest` (the declared dep
+     guarantees the binary), the workspace root under `dune exec`. *)
+  let exe =
+    List.map
+      (fun rel -> Filename.concat (Sys.getcwd ()) rel)
+      [ "../bin/crn_sim.exe"; "_build/default/bin/crn_sim.exe" ]
+    |> List.find_opt Sys.file_exists
+  in
+  let exe =
+    match exe with
+    | Some exe -> exe
+    | None -> Alcotest.fail "crn_sim.exe not found next to the test run"
+  in
+  let read_file path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun args ->
+      let err = Filename.temp_file "crn_cli" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args
+             (Filename.quote err))
+      in
+      let stderr = read_file err in
+      Sys.remove err;
+      if code = 0 then Alcotest.failf "`%s` exited 0" args;
+      let lines =
+        List.filter (fun l -> l <> "") (String.split_on_char '\n' stderr)
+      in
+      if List.length lines <> 1 then
+        Alcotest.failf "`%s` wrote %d stderr lines, not one:\n%s" args
+          (List.length lines) stderr;
+      if contains stderr "exception" || contains stderr "Raised at" then
+        Alcotest.failf "`%s` leaked an exception:\n%s" args stderr)
+    [
+      (* The retired registry name of COGCAST on the SoA engine. *)
+      "run -p " ^ String.concat "_" [ "cogcast"; "soa" ];
+      "run -p nosuch";
+      "run -p cogcast -k 9 --channels 4";
+      "run -p gossip --shards 0";
+      "run -p gossip --shards 2";
+      "aggregate --dynamic rotating";
+    ]
 
 let () =
   Alcotest.run "proto"
@@ -446,5 +506,10 @@ let () =
           Alcotest.test_case "registry audit on the soa backend" `Quick
             test_soa_backend_sweep;
         ] );
-      ("registry", [ Alcotest.test_case "lookup" `Quick test_registry_lookup ]);
+      ( "registry",
+        [
+          Alcotest.test_case "lookup" `Quick test_registry_lookup;
+          Alcotest.test_case "CLI errors are one clean line" `Quick
+            test_cli_errors;
+        ] );
     ]

@@ -894,6 +894,49 @@ let test_jammer_reactive_in_engine () =
       check "slot 3 jammed again" true (s3 = Action.Jammed)
   | fb -> Alcotest.failf "expected 4 feedbacks, got %d" (List.length fb)
 
+(* {!Engine.run} in its steady state, on a fixed schedule whose decisions
+   are all built before the run: the slot loop itself allocates nothing.
+   What is left is the feedback the paper's collision model hands out: a
+   losing broadcaster's [Lost] and a listener's [Heard] each carry the
+   winner and the message (3 words). Two runs differing only in their slot
+   budget share all setup, so their difference is the steady state alone.
+   Nearly every node gets one of the two here, so the measured cost is
+   3.018 words/node-slot; the bound is that, rounded up. *)
+let engine_steady_state_words_bound = 3.1
+
+let test_engine_steady_state_allocation () =
+  let n = 4096 and c = 8 and period = 16 in
+  let rng = Rng.create 21 in
+  let availability =
+    Dynamic.static
+      (Crn_channel.Topology.shared_plus_random rng { Crn_channel.Topology.n; c; k = 2 })
+  in
+  let schedule =
+    Array.init n (fun v ->
+        Array.init period (fun _ ->
+            let label = Rng.int rng c in
+            if Rng.int rng 4 = 0 then Action.broadcast ~label v
+            else Action.listen ~label))
+  in
+  let nodes =
+    Array.init n (fun id ->
+        Engine.node ~id
+          ~decide:(fun ~slot -> schedule.(id).(slot mod period))
+          ~feedback:(fun ~slot:_ _ -> ()))
+  in
+  let words max_slots =
+    let w0 = Gc.minor_words () in
+    ignore (Engine.run ~availability ~rng:(Rng.create 22) ~nodes ~max_slots ());
+    Gc.minor_words () -. w0
+  in
+  let short = 20 and long = 40 in
+  let per_node_slot =
+    (words long -. words short) /. float_of_int (n * (long - short))
+  in
+  if per_node_slot > engine_steady_state_words_bound then
+    Alcotest.failf "steady state allocates %.3f words/node-slot (bound %.2f)"
+      per_node_slot engine_steady_state_words_bound
+
 let () =
   Alcotest.run "crn_radio"
     [
@@ -908,6 +951,8 @@ let () =
           Alcotest.test_case "label validation" `Quick test_label_validation;
           Alcotest.test_case "id validation" `Quick test_id_validation;
           Alcotest.test_case "stop callback" `Quick test_stop_callback;
+          Alcotest.test_case "steady state allocation bound" `Quick
+            test_engine_steady_state_allocation;
           QCheck_alcotest.to_alcotest prop_engine_conserves_feedback;
           QCheck_alcotest.to_alcotest prop_trace_matches_observed;
         ] );

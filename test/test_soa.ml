@@ -1,22 +1,27 @@
 (* Differential tests for the struct-of-arrays engine.
 
-   Three claims, property-tested over randomized scenarios (topology
+   Four claims, property-tested over randomized scenarios (topology
    shape, dynamic availability, jammers, faults, early stops — all
    derived from one seed, n up to 256):
 
-   1. Traced equivalence: a traced {!Soa.run} is observationally
-      identical to a traced {!Engine.run} driving the same adversarial
-      digest protocol — same outcome, counters, metrics, per-node
-      feedback digests, and byte-equal JSONL traces.
+   1. Traced equivalence: a traced run on the {!Runner.Soa} backend, at
+      shards 1, 2 and 8, is observationally identical to a traced run on
+      {!Runner.Engine} driving the same adversarial digest protocol — same
+      outcome, counters, metrics, per-node feedback digests, and byte-equal
+      JSONL traces. The untraced sharded run on the soa backend agrees with
+      the traced one on everything but the trace.
 
-   2. Shard invariance: the untraced fast path produces identical
-      digests/counters/metrics at shards 1, 2 and 8, with the dense and
-      the forced-sparse (dense_channel_limit = 0) counting strategies,
-      all matching the classic engine.
+   2. Shard invariance: {!Soa.run} produces identical digests/counters/
+      metrics at shards 1, 2 and 8, with the dense and the forced-sparse
+      (dense_channel_limit = 0) counting strategies, all matching the
+      classic engine.
 
-   3. Protocol equivalence: {!Cogcast_soa.run} is byte-equal to
-      {!Cogcast.run} — traces, distribution tree, completion slot — and
-      shard-invariant. *)
+   3. Protocol equivalence: {!Cogcast.run} on the soa backend is
+      byte-equal to {!Cogcast.run} on the engine — traces, distribution
+      tree, completion slot — and shard-invariant.
+
+   4. Every machine in the registry gives the same summary and trace on
+      the soa backend as on the engine. *)
 
 module Rng = Crn_prng.Rng
 module Topology = Crn_channel.Topology
@@ -29,7 +34,7 @@ module Metrics = Crn_radio.Metrics
 module Jammer = Crn_radio.Jammer
 module Faults = Crn_radio.Faults
 module Cogcast = Crn_core.Cogcast
-module Cogcast_soa = Crn_core.Cogcast_soa
+module Runner = Crn_radio.Runner
 
 (* ------------------------------------------------------------------ *)
 (* The adversarial digest protocol of test_determinism.ml, in both node
@@ -158,35 +163,13 @@ let metrics_fields (m : Metrics.t) =
   @ Array.to_list m.Metrics.awake_slots
   @ Array.to_list m.Metrics.jammed
 
-let run_engine sc ~seed ~traced =
-  let digests = Array.make sc.n 0 in
-  let nodes = engine_nodes ~seed ~n:sc.n ~c:sc.c ~digests in
-  let tr = if traced then Some (Trace.create ()) else None in
-  let m = Metrics.create sc.n in
-  let stop = Option.map (fun at -> fun ~slot -> slot >= at) sc.stop_at in
-  let outcome =
-    Engine.run ?stop ?trace:tr ~jammer:(sc.jammer ()) ~faults:sc.faults
-      ~metrics:m ~availability:sc.availability
-      ~rng:(Rng.create (seed * 17))
-      ~nodes ~max_slots:sc.max_slots ()
-  in
-  {
-    out_slots = outcome.Engine.slots_run;
-    out_stopped = outcome.Engine.stopped_early;
-    out_counters = counters_fields outcome.Engine.counters;
-    out_trace = (match tr with Some tr -> Trace.to_jsonl tr | None -> "");
-    out_metrics = metrics_fields m;
-    out_digests = digests;
-  }
-
-let run_soa sc ~seed ~traced ~shards ~dense_channel_limit =
+let run_soa sc ~seed ~shards ~dense_channel_limit =
   let digests = Array.make sc.n 0 in
   let protocol = soa_protocol ~seed ~n:sc.n ~c:sc.c ~digests in
-  let tr = if traced then Some (Trace.create ()) else None in
   let m = Metrics.create sc.n in
   let stop = Option.map (fun at -> fun ~slot -> slot >= at) sc.stop_at in
   let outcome =
-    Soa.run ?stop ?trace:tr ~shards ~dense_channel_limit ~jammer:(sc.jammer ())
+    Soa.run ?stop ~shards ~dense_channel_limit ~jammer:(sc.jammer ())
       ~faults:sc.faults ~metrics:m ~availability:sc.availability
       ~rng:(Rng.create (seed * 17))
       ~protocol ~max_slots:sc.max_slots ()
@@ -195,10 +178,38 @@ let run_soa sc ~seed ~traced ~shards ~dense_channel_limit =
     out_slots = outcome.Soa.slots_run;
     out_stopped = outcome.Soa.stopped_early;
     out_counters = counters_fields outcome.Soa.counters;
+    out_trace = "";
+    out_metrics = metrics_fields m;
+    out_digests = digests;
+  }
+
+(* The digest protocol's engine nodes through {!Runner}: the path every
+   protocol layer takes. The nodes honor the sharding contract (per-node
+   streams, own-index writes), so they run sharded on the soa backend. *)
+let run_runner sc ~seed ~backend ~traced =
+  let digests = Array.make sc.n 0 in
+  let nodes = engine_nodes ~seed ~n:sc.n ~c:sc.c ~digests in
+  let tr = if traced then Some (Trace.create ()) else None in
+  let m = Metrics.create sc.n in
+  let stop = Option.map (fun at -> fun ~slot -> slot >= at) sc.stop_at in
+  let runner =
+    Runner.make ~machine_parallel:true ?trace:tr ~jammer:(sc.jammer ())
+      ~faults:sc.faults ~metrics:m ~backend ~availability:sc.availability
+      ~rng:(Rng.create (seed * 17))
+      ()
+  in
+  let outcome = runner.Runner.run ?stop ~nodes ~max_slots:sc.max_slots () in
+  {
+    out_slots = outcome.Runner.slots_run;
+    out_stopped = outcome.Runner.stopped_early;
+    out_counters = counters_fields outcome.Runner.counters;
     out_trace = (match tr with Some tr -> Trace.to_jsonl tr | None -> "");
     out_metrics = metrics_fields m;
     out_digests = digests;
   }
+
+let soa_backend ?dense_channel_limit shards =
+  Runner.Soa { shards; dense_channel_limit }
 
 let diff label a b =
   if a.out_slots <> b.out_slots then
@@ -212,18 +223,48 @@ let diff label a b =
   else if a.out_trace <> b.out_trace then Some (label ^ ": trace bytes differ")
   else None
 
-(* Claim 1: traced SoA = traced engine, byte for byte. *)
+let first_diff checks =
+  List.fold_left
+    (fun acc check -> match acc with Some _ -> acc | None -> check ())
+    None checks
+
+(* Claim 1: a traced run on the soa backend = a traced run on the engine,
+   byte for byte, at every shard count. *)
 let prop_traced_equivalence seed =
   let sc = scenario seed in
-  let engine = run_engine sc ~seed ~traced:true in
-  let soa = run_soa sc ~seed ~traced:true ~shards:1 ~dense_channel_limit:4096 in
-  diff "traced" engine soa
+  let engine = run_runner sc ~seed ~backend:Runner.Engine ~traced:true in
+  first_diff
+    (List.map
+       (fun shards () ->
+         diff
+           (Printf.sprintf "traced shards=%d" shards)
+           engine
+           (run_runner sc ~seed ~backend:(soa_backend shards) ~traced:true))
+       [ 1; 2; 8 ])
+
+(* ...and the untraced sharded soa run agrees with the traced one on
+   everything the trace does not carry: the invariant a traced audit of an
+   untraced run relies on. *)
+let prop_traced_matches_untraced seed =
+  let sc = scenario seed in
+  let traced = run_runner sc ~seed ~backend:(soa_backend 1) ~traced:true in
+  let traced = { traced with out_trace = "" } in
+  first_diff
+    (List.map
+       (fun (label, backend) () ->
+         diff label traced (run_runner sc ~seed ~backend ~traced:false))
+       [
+         ("untraced shards=1", soa_backend 1);
+         ("untraced shards=2", soa_backend 2);
+         ("untraced shards=8", soa_backend 8);
+         ("untraced shards=8 sparse", soa_backend ~dense_channel_limit:0 8);
+       ])
 
 (* Claim 2: the fast path matches the engine at every shard count and
    with both counting strategies. *)
 let prop_shard_invariance seed =
   let sc = scenario seed in
-  let engine = run_engine sc ~seed ~traced:false in
+  let engine = run_runner sc ~seed ~backend:Runner.Engine ~traced:false in
   let variants =
     [
       ("shards=1 dense", 1, 4096);
@@ -233,16 +274,15 @@ let prop_shard_invariance seed =
       ("shards=8 sparse", 8, 0);
     ]
   in
-  List.fold_left
-    (fun acc (label, shards, dense_channel_limit) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          diff label engine (run_soa sc ~seed ~traced:false ~shards ~dense_channel_limit))
-    None variants
+  first_diff
+    (List.map
+       (fun (label, shards, dense_channel_limit) () ->
+         diff label engine (run_soa sc ~seed ~shards ~dense_channel_limit))
+       variants)
 
-(* Claim 3: Cogcast_soa = Cogcast — traces, tree, completion — and the
-   untraced fast path reproduces the same tree at shards 1/2/8. *)
+(* Claim 3: COGCAST on the soa backend = COGCAST on the engine — traces,
+   tree, completion — and the untraced sharded run reproduces the same
+   tree at shards 1/2/8. *)
 
 let cogcast_classic ~seed ~n ~c ~k =
   let rng = Rng.create seed in
@@ -255,12 +295,12 @@ let cogcast_classic ~seed ~n ~c ~k =
   in
   (r, Trace.to_jsonl tr)
 
-let cogcast_soa ~seed ~n ~c ~k ~traced ~shards =
+let cogcast_on_soa ~seed ~n ~c ~k ~traced ~shards =
   let rng = Rng.create seed in
   let assignment = Topology.shared_core rng { Topology.n; c; k } in
   let tr = if traced then Some (Trace.create ()) else None in
   let r =
-    Cogcast_soa.run ?trace:tr ~shards ~source:0
+    Cogcast.run ?trace:tr ~backend:(soa_backend shards) ~source:0
       ~availability:(Dynamic.static assignment)
       ~rng ~max_slots:400 ()
   in
@@ -278,7 +318,7 @@ let tree_fields (r : Cogcast.result) =
 let prop_cogcast_equivalence seed =
   let n = 2 + (seed mod 120) and c = 6 and k = 2 in
   let classic, classic_trace = cogcast_classic ~seed ~n ~c ~k in
-  let soa, soa_trace = cogcast_soa ~seed ~n ~c ~k ~traced:true ~shards:1 in
+  let soa, soa_trace = cogcast_on_soa ~seed ~n ~c ~k ~traced:true ~shards:1 in
   if classic_trace <> soa_trace then Some "cogcast traces differ"
   else if tree_fields classic <> tree_fields soa then
     Some "cogcast results differ"
@@ -288,7 +328,7 @@ let prop_cogcast_equivalence seed =
         match acc with
         | Some _ -> acc
         | None ->
-            let fast, _ = cogcast_soa ~seed ~n ~c ~k ~traced:false ~shards in
+            let fast, _ = cogcast_on_soa ~seed ~n ~c ~k ~traced:false ~shards in
             if tree_fields classic <> tree_fields fast then
               Some (Printf.sprintf "cogcast diverges at shards=%d" shards)
             else None)
@@ -297,12 +337,10 @@ let prop_cogcast_equivalence seed =
 (* Claim 4 — the universal-backend audit: every of_machine registry entry
    produces a byte-equal summary on the soa backend at shards {1, 2, 8},
    with both occupancy strategies (dense and forced-sparse), and a
-   byte-equal trace through the sequential twin — all against the same
-   entry on the classic engine backend. Scenarios randomize dims,
+   byte-equal traced run on the soa backend — all against the same entry
+   on the classic engine backend. Scenarios randomize dims,
    topology and a nap schedule; each run gets a fresh rng from the same
    seed, so any divergence is the backend's. *)
-
-module Runner = Crn_radio.Runner
 
 let prop_registry_machines seed =
   let scenario_rng = Rng.create (311_000 + seed) in
@@ -399,8 +437,7 @@ let test_shards_rejected () =
     (Crn_proto.Registry.machine_names ());
   raises "cogcast" Runner.Engine;
   raises "cogcomp" Runner.Engine;
-  raises "cogcast_soa"
-    (Runner.Soa { shards = 3; dense_channel_limit = None });
+  raises "cogcast" (Runner.Soa { shards = 3; dense_channel_limit = None });
   (* ...while the soa backend honors the same request. *)
   let env =
     Crn_proto.Protocol.env
@@ -419,6 +456,10 @@ let test_traced () =
   Prop.check ~count:40 ~name:"soa traced = engine traced" seed_gen
     prop_traced_equivalence
 
+let test_traced_untraced () =
+  Prop.check ~count:30 ~name:"soa traced = soa untraced sharded" seed_gen
+    prop_traced_matches_untraced
+
 let test_shards () =
   Prop.check ~count:30 ~name:"soa fast path shard/strategy invariant" seed_gen
     prop_shard_invariance
@@ -428,29 +469,31 @@ let test_registry_machines () =
     prop_registry_machines
 
 let test_cogcast () =
-  Prop.check ~count:25 ~name:"cogcast_soa = cogcast" seed_gen
+  Prop.check ~count:25 ~name:"cogcast on soa = cogcast" seed_gen
     prop_cogcast_equivalence
 
-(* The registry entry behind --shards: same summary as classic cogcast. *)
+(* The registry entry behind [--backend soa --shards N]: same summary as
+   classic cogcast. *)
 let test_registry_entry () =
   let module Protocol = Crn_proto.Protocol in
   let module Registry = Crn_proto.Registry in
-  let summary name shards =
+  let summary backend shards =
     let rng = Rng.create 99 in
     let assignment = Topology.shared_core rng { Topology.n = 64; c = 8; k = 2 } in
     let env =
-      Protocol.env ~shards ~availability:(Dynamic.static assignment) ~rng ()
+      Protocol.env ~backend ~shards ~availability:(Dynamic.static assignment)
+        ~rng ()
     in
-    let s = Protocol.run (Option.get (Registry.find name)) env in
+    let s = Protocol.run (Option.get (Registry.find "cogcast")) env in
     (s.Protocol.slots_run, s.Protocol.completed_at, s.Protocol.coverage)
   in
-  let classic = summary "cogcast" 1 in
+  let classic = summary Runner.Engine 1 in
   List.iter
     (fun shards ->
       Alcotest.(check bool)
-        (Printf.sprintf "registry cogcast_soa shards=%d = cogcast" shards)
+        (Printf.sprintf "registry cogcast soa shards=%d = cogcast" shards)
         true
-        (summary "cogcast_soa" shards = classic))
+        (summary (soa_backend 1) shards = classic))
     [ 1; 2; 8 ]
 
 (* COGCAST on the one-shard SoA backend in its steady state, where every
@@ -468,7 +511,7 @@ let test_steady_state_allocation () =
     Dynamic.static
       (Topology.shared_plus_random (Rng.create 5) { Topology.n; c = 16; k = 4 })
   in
-  let backend = Runner.Soa { shards = 1; dense_channel_limit = None } in
+  let backend = soa_backend 1 in
   let words max_slots =
     let w0 = Gc.minor_words () in
     let r =
@@ -492,9 +535,11 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "traced twin byte-equal to engine" `Quick test_traced;
+          Alcotest.test_case "traced soa byte-equal to engine" `Quick test_traced;
           Alcotest.test_case "fast path shard & strategy invariant" `Quick
             test_shards;
+          Alcotest.test_case "traced soa = untraced sharded soa" `Quick
+            test_traced_untraced;
         ] );
       ( "registry audit",
         [
@@ -505,7 +550,7 @@ let () =
         ] );
       ( "cogcast",
         [
-          Alcotest.test_case "cogcast_soa equals cogcast" `Quick test_cogcast;
+          Alcotest.test_case "cogcast on soa equals cogcast" `Quick test_cogcast;
           Alcotest.test_case "registry entry honors env.shards" `Quick
             test_registry_entry;
           Alcotest.test_case "steady state allocation bound" `Quick
